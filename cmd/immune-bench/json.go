@@ -7,6 +7,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -159,7 +160,10 @@ func runJSON(path string, payloadSize, workFactor int, withMetrics bool) error {
 	}
 
 	fmt.Fprintf(os.Stderr, "# measuring case 1 (no replication, no Immune)\n")
-	r1 := testing.Benchmark(func(b *testing.B) { benchCase1(b, body) })
+	r1, err := benchmark(func(b *testing.B) error { return benchCase1(b, body) })
+	if err != nil {
+		return fmt.Errorf("case1: %w", err)
+	}
 	report.Cases["case1"] = toResult("no replication, no Immune", r1)
 
 	levels := []struct {
@@ -178,9 +182,12 @@ func runJSON(path string, payloadSize, workFactor int, withMetrics bool) error {
 		if !withMetrics {
 			snapDst = nil
 		}
-		r := testing.Benchmark(func(b *testing.B) {
-			benchReplicated(b, c.level, workFactor, body, snapDst)
+		r, err := benchmark(func(b *testing.B) error {
+			return benchReplicated(b, c.level, workFactor, body, snapDst)
 		})
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.key, err)
+		}
 		report.Cases[c.key] = toResult(c.label, r)
 		if withMetrics {
 			cm, err := caseMetrics(c.key, c.level, snap)
@@ -203,6 +210,19 @@ func runJSON(path string, payloadSize, workFactor int, withMetrics bool) error {
 	return nil
 }
 
+// benchmark runs fn under testing.Benchmark and returns its first error.
+// testing.Benchmark may call fn several times with growing b.N; after an
+// error the remaining calls return at once.
+func benchmark(fn func(b *testing.B) error) (testing.BenchmarkResult, error) {
+	var err error
+	r := testing.Benchmark(func(b *testing.B) {
+		if err == nil {
+			err = fn(b)
+		}
+	})
+	return r, err
+}
+
 func toResult(label string, r testing.BenchmarkResult) CaseResult {
 	res := CaseResult{
 		Label:       label,
@@ -218,11 +238,11 @@ func toResult(label string, r testing.BenchmarkResult) CaseResult {
 }
 
 // benchCase1 is the unreplicated loopback baseline.
-func benchCase1(b *testing.B, body []byte) {
+func benchCase1(b *testing.B, body []byte) error {
 	sink := immune.NewPacketSink()
 	base, err := immune.NewBaseline(sinkKey, sink)
 	if err != nil {
-		b.Fatal(err)
+		return err
 	}
 	defer base.Close()
 	obj := base.Object(sinkKey)
@@ -230,26 +250,27 @@ func benchCase1(b *testing.B, body []byte) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := obj.InvokeOneWay("push", body); err != nil {
-			b.Fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // benchReplicated measures one replicated case: b.N one-way invocations
 // from each of three driver replicas, timed until the (replicated) sink
 // has processed all b.N voted deliveries. A non-nil snap receives the
 // system's final metric snapshot (testing.Benchmark may run the function
-// several times; the last, largest run wins).
-func benchReplicated(b *testing.B, level immune.Level, workFactor int, body []byte, snap *immune.MetricsSnapshot) {
+// several times; the last, largest run wins). Errors are returned, not
+// raised with b.Fatal: outside go test that would crash the process.
+func benchReplicated(b *testing.B, level immune.Level, workFactor int, body []byte, snap *immune.MetricsSnapshot) error {
 	sys, err := immune.New(immune.Config{
 		Processors:       6,
 		Level:            level,
 		Seed:             77,
 		CryptoWorkFactor: workFactor,
-		PollInterval:     20 * time.Microsecond,
 	})
 	if err != nil {
-		b.Fatal(err)
+		return err
 	}
 	sys.Start()
 	defer sys.Stop()
@@ -258,7 +279,7 @@ func benchReplicated(b *testing.B, level immune.Level, workFactor int, body []by
 	for pid := immune.ProcessorID(1); pid <= 3; pid++ {
 		p, err := sys.Processor(pid)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		sink := immune.NewPacketSink()
 		if pid == 1 {
@@ -266,25 +287,25 @@ func benchReplicated(b *testing.B, level immune.Level, workFactor int, body []by
 		}
 		r, err := p.HostServer(sinkGroup, sinkKey, sink)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		if err := r.WaitActive(20 * time.Second); err != nil {
-			b.Fatal(err)
+			return err
 		}
 	}
 	var drivers []*immune.Object
 	for pid := immune.ProcessorID(4); pid <= 6; pid++ {
 		p, err := sys.Processor(pid)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		c, err := p.NewClient(driverGroup)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		c.Bind(sinkKey, sinkGroup)
 		if err := c.Replica().WaitActive(20 * time.Second); err != nil {
-			b.Fatal(err)
+			return err
 		}
 		drivers = append(drivers, c.Object(sinkKey))
 	}
@@ -294,8 +315,8 @@ func benchReplicated(b *testing.B, level immune.Level, workFactor int, body []by
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, d := range drivers {
-			if err := d.InvokeOneWay("push", body); err != nil {
-				b.Fatal(err)
+			if err := pushRetryingShed(d, body); err != nil {
+				return err
 			}
 		}
 	}
@@ -303,12 +324,31 @@ func benchReplicated(b *testing.B, level immune.Level, workFactor int, body []by
 	deadline := time.Now().Add(5 * time.Minute)
 	for sink0.Received() < want {
 		if time.Now().After(deadline) {
-			b.Fatalf("sink stalled at %d of %d", sink0.Received(), want)
+			return fmt.Errorf("sink stalled at %d of %d", sink0.Received(), want)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
 	b.StopTimer()
 	if snap != nil {
 		*snap = sys.Snapshot()
+	}
+	return nil
+}
+
+// pushRetryingShed sends one one-way invocation, backing off and retrying
+// while admission control sheds it. ErrOverloaded is raised before the
+// invocation enters total order, so the retry cannot duplicate it; an
+// unpaced b.N loop overruns the bounded submit queue by design.
+func pushRetryingShed(obj *immune.Object, body []byte) error {
+	backoff := 50 * time.Microsecond
+	for {
+		err := obj.InvokeOneWay("push", body)
+		if !errors.Is(err, immune.ErrOverloaded) {
+			return err
+		}
+		time.Sleep(backoff)
+		if backoff < 5*time.Millisecond {
+			backoff *= 2
+		}
 	}
 }

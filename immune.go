@@ -194,11 +194,6 @@ type Config struct {
 	// Deployments on lossy links raise it so sustained wire corruption —
 	// a link property — is not mistaken for processor misbehaviour.
 	StrikeThreshold int
-	// IdleDelay paces an idle token rotation; zero means 500µs.
-	IdleDelay time.Duration
-	// PollInterval is each processor's event-loop idle sleep; zero means
-	// 100µs.
-	PollInterval time.Duration
 	// CryptoWorkFactor repeats every signature generation/verification
 	// to emulate the paper's 167 MHz testbed, where a 300-bit RSA
 	// signature cost milliseconds; ~100 restores the 1999 ratio of
@@ -268,8 +263,6 @@ func New(cfg Config) (*System, error) {
 		RecoveryBackoff:    cfg.RecoveryBackoff,
 		SuspectTimeout:     cfg.SuspectTimeout,
 		StrikeThreshold:    cfg.StrikeThreshold,
-		IdleDelay:          cfg.IdleDelay,
-		PollInterval:       cfg.PollInterval,
 		CryptoWorkFactor:   cfg.CryptoWorkFactor,
 		MaxSubmitQueue:     cfg.MaxSubmitQueue,
 		MaxUnstable:        cfg.MaxUnstable,

@@ -89,11 +89,6 @@ type Config struct {
 	// on lossy links where wire corruption would otherwise be mistaken
 	// for processor misbehaviour.
 	StrikeThreshold int
-	// IdleDelay paces an idle token rotation; 0 means 500µs.
-	IdleDelay time.Duration
-	// PollInterval is each processor's event-loop idle sleep; 0 means
-	// 100µs. Lower values trade CPU for latency in benchmarks.
-	PollInterval time.Duration
 	// CryptoWorkFactor repeats signing/verification to emulate
 	// paper-era (167 MHz) hardware; 0 means 1 (modern speed).
 	CryptoWorkFactor int
@@ -504,8 +499,6 @@ func (s *System) buildProcessor(p ids.ProcessorID, joining bool, reuse []transpo
 			MaxPerVisit:     cfg.MaxPerVisit,
 			MaxSubmitQueue:  cfg.MaxSubmitQueue,
 			MaxUnstable:     cfg.MaxUnstable,
-			IdleDelay:       cfg.IdleDelay,
-			PollInterval:    cfg.PollInterval,
 			SuspectTimeout:  cfg.SuspectTimeout,
 			StrikeThreshold: cfg.StrikeThreshold,
 			Metrics:         smp.MetricsFromPrefix(s.reg, metricPrefix(r, rings)),

@@ -252,11 +252,23 @@ func (d *Detector) Tick() {
 		}
 		culprit = d.successorOf(culprit)
 	}
+	// Rearm so each stall yields one suspicion step — also when the walk
+	// ends at this processor, or Deadline would stay in the past and spin
+	// a deadline-driven event loop.
+	d.lastActivity = d.now()
 	if culprit == d.cfg.Self {
 		return // never self-suspect; others will judge us
 	}
-	d.lastActivity = d.now() // rearm so each stall yields one suspicion step
 	d.suspect(culprit, ReasonSilent)
+}
+
+// Deadline returns when Tick next has work: the rotation liveness
+// timeout. The zero time means none (no view installed).
+func (d *Detector) Deadline() time.Time {
+	if len(d.members) == 0 {
+		return time.Time{}
+	}
+	return d.lastActivity.Add(d.cfg.SuspectTimeout)
 }
 
 // Suspects returns the current suspects list (sorted), the module's output

@@ -271,3 +271,27 @@ func TestReasonStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadlineRearmedWhenWalkEndsAtSelf: when every member the liveness
+// walk could blame is this processor, Tick suspects no one but must still
+// rearm; otherwise Deadline stays in the past and a deadline-driven event
+// loop spins on it.
+func TestDeadlineRearmedWhenWalkEndsAtSelf(t *testing.T) {
+	c := &fakeClock{t: time.Unix(0, 0)}
+	d := newTestDetector(3, c)
+	d.TokenActivity(2, 10) // successor of 2 is 3 == self
+	if got, want := d.Deadline(), c.now().Add(10*time.Millisecond); !got.Equal(want) {
+		t.Fatalf("Deadline = %v, want %v", got, want)
+	}
+	c.advance(20 * time.Millisecond)
+	d.Tick()
+	if !d.Deadline().After(c.now()) {
+		t.Fatalf("Deadline %v not after now %v once Tick ran", d.Deadline(), c.now())
+	}
+	if d.Suspected(3) {
+		t.Fatal("detector suspected itself")
+	}
+	if New(Config{Self: 1}).Deadline() != (time.Time{}) {
+		t.Fatal("detector without a view has a deadline")
+	}
+}

@@ -134,3 +134,39 @@ func TestProposalRetransmission(t *testing.T) {
 		t.Fatalf("only %d proposal (re)transmissions in 20ms at 1ms interval", count)
 	}
 }
+
+// TestDeadlineAheadAfterTick: every deadline Tick acts on is rearmed by
+// Tick at the same instant — proposal and flush re-multicast, the formation timeout, and
+// an expired flush barrier included — so an event loop sleeping until
+// Deadline never spins on a past one.
+func TestDeadlineAheadAfterTick(t *testing.T) {
+	members := []ids.ProcessorID{1, 2, 3}
+	sim := newMemberSim(t, members, sec.LevelNone)
+	// As in TestFlushBarrierTimesOut: P1's inflated delivered claim holds
+	// the barrier until it expires, and mute P3 keeps formation timing out.
+	sim.bridges[1].delivered = 100
+	sim.dropTo[3] = true
+	for _, p := range []ids.ProcessorID{1, 2} {
+		sim.sources[p].suspects[3] = true
+	}
+	for i := 0; i < 200; i++ {
+		sim.clock = sim.clock.Add(700 * time.Microsecond)
+		for _, p := range members {
+			m := sim.insts[p]
+			// A Tick that opens a formation returns at once; the next
+			// one, due immediately, runs the first flush round.
+			m.Tick()
+			if d := m.Deadline(); !d.IsZero() && !d.After(sim.clock) {
+				m.Tick()
+			}
+			if d := m.Deadline(); !d.IsZero() && !d.After(sim.clock) {
+				t.Fatalf("step %d: P%d Deadline %v not after now %v (forming=%v)",
+					i, p, d, sim.clock, m.Forming())
+			}
+		}
+		sim.step(0)
+	}
+	if len(sim.installs[1]) == 0 || len(sim.installs[2]) == 0 {
+		t.Fatal("the barrier never expired into an install")
+	}
+}

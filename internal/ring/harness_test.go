@@ -95,6 +95,8 @@ func (n *node) loop() {
 			n.ring.HandleToken(f.Payload)
 		case wire.KindRegular:
 			n.ring.HandleRegular(f.Payload)
+		case wire.KindWake:
+			n.ring.HandleWake(f.From, f.Payload)
 		}
 	}
 }

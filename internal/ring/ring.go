@@ -12,15 +12,16 @@
 // membership); the membership protocol tears the ring down and builds a
 // new one when the membership changes.
 //
-// Concurrency contract: HandleToken, HandleRegular, Tick, and Kickstart
-// must be called from a single goroutine (the owning processor's event
-// loop). Submit may be called from any goroutine.
+// Concurrency contract: HandleToken, HandleRegular, HandleWake, Tick,
+// Deadline, and Kickstart must be called from a single goroutine (the
+// owning processor's event loop). Submit may be called from any goroutine.
 package ring
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"immune/internal/ids"
@@ -135,6 +136,7 @@ type Stats struct {
 	TokenRejects    uint64 // tokens rejected (signature/form/stale)
 	SubmitShed      uint64 // submissions rejected by the bounded queue
 	Throttled       uint64 // token visits that withheld origination (aru window)
+	Wakes           uint64 // wake hints this processor multicast
 }
 
 // Config parameterizes one ring participant.
@@ -152,14 +154,19 @@ type Config struct {
 	// DefaultMaxPerVisit.
 	MaxPerVisit int
 	// TokenTimeout is how long the last token sender waits for evidence
-	// of progress before retransmitting its token; 0 means 10ms.
+	// of progress before retransmitting its token; 0 means 10ms. When
+	// the successor is expected to hold the token idle, the wait is
+	// extended by IdleDelay.
 	TokenTimeout time.Duration
 	// IdleDelay paces an idle ring: a holder that observes no sequence
 	// progress since its own previous visit, and that has nothing to
-	// originate or retransmit, holds the token this long before passing
-	// it, so an idle ring does not spin. A busy ring (any member
-	// originating) passes the token at full speed, and a local Submit
-	// cuts the hold short. Zero disables pacing.
+	// originate or retransmit, parks the token for this long before
+	// passing it, so an idle ring does not spin. The hold is a state, not
+	// a sleep: the event loop keeps serving frames and passes the token
+	// when Tick finds the hold expired, a local Submit arrives, or a
+	// member's wake hint (HandleWake) asks for it. A busy ring (any member
+	// originating) passes the token at full speed. Zero disables pacing
+	// and wake hints.
 	IdleDelay time.Duration
 	// MaxQueue bounds the submit queue: Submit returns ErrOverloaded
 	// once this many payloads await origination. 0 means
@@ -179,6 +186,16 @@ type Config struct {
 	Metrics Metrics
 }
 
+// Paced returns cfg with idle pacing derived from the token timeout: the
+// hold is TokenTimeout/2. Its length only sets what an idle ring costs —
+// it adds no latency, since a waiting submitter ends it — so it is not a
+// knob of its own. Deployments use it; the zero IdleDelay of a bare
+// Config leaves pacing off.
+func (cfg Config) Paced() Config {
+	cfg.IdleDelay = cfg.TokenTimeout / 2
+	return cfg
+}
+
 // Ring is one processor's participation in one ring configuration.
 type Ring struct {
 	cfg       Config
@@ -191,26 +208,38 @@ type Ring struct {
 	qmu     sync.Mutex
 	sendQ   [][]byte
 	shedQ   uint64        // submissions rejected by the bounded queue (qmu)
-	submitN chan struct{} // capacity 1: edge-trigger for Submit during an idle hold
+	submitN chan struct{} // capacity 1: see SubmitNotify
+	// pokeOnSubmit makes Submit signal submitN: set while this processor
+	// parks the token, or while an idle token is parked elsewhere and no
+	// wake has gone out yet. Other submissions just wait for the token.
+	pokeOnSubmit atomic.Bool
 
 	// Protocol state: single event-goroutine access.
-	visit        uint64 // highest token visit accepted
-	seq          uint64 // highest message seq known assigned
-	stable       uint64 // highest stability threshold observed (stableAru)
-	lastHeldSeq  uint64 // ring seq as of this processor's previous token hold
-	delivered    uint64 // highest contiguous seq delivered
-	msgs         map[uint64]*wire.Regular
-	digestBook   map[uint64][sec.DigestSize]byte // seq -> digest from tokens
-	tokensSeen   map[uint64][sec.DigestSize]byte // visit -> token digest (mutant detect)
-	lastSentRaw  []byte                          // last token this processor multicast
-	lastSentAt   time.Time
-	lastSentVis  uint64
-	lastAccepted [sec.DigestSize]byte // digest of last accepted token (chain check)
-	aruWindow    []uint64             // arus of the last n+1 accepted tokens
-	lastHoldAt   time.Time            // this processor's previous token hold
-	stats        Stats
-	m            Metrics
-	stopped      bool
+	visit         uint64   // highest token visit accepted
+	seq           uint64   // highest message seq known assigned
+	stable        uint64   // highest stability threshold observed (stableAru)
+	seqAt         []uint64 // per member index: Seq of the last token it sent
+	selfIdx       int
+	delivered     uint64 // highest contiguous seq delivered
+	gcMark        uint64 // msgs and digestBook hold nothing at or below this seq
+	msgs          map[uint64]*wire.Regular
+	digestBook    map[uint64][sec.DigestSize]byte // seq -> digest from tokens
+	tokensSeen    map[uint64][sec.DigestSize]byte // visit -> token digest (mutant detect)
+	lastSentRaw   []byte                          // last token this processor multicast
+	lastSentAt    time.Time
+	lastSentVis   uint64
+	resendAfter   time.Duration        // token timeout, plus the successor's predicted idle hold
+	lastAccepted  [sec.DigestSize]byte // digest of last accepted token (chain check)
+	aruWindow     []uint64             // arus of the last n+1 accepted tokens
+	lastHoldAt    time.Time            // this processor's previous token hold
+	parked        *wire.Token          // token held idle, awaiting release
+	parkUntil     time.Time            // when the idle hold expires
+	skipHold      bool                 // a wake hint cancelled the next idle hold
+	idleElsewhere bool                 // the last token seen is held idle by another member
+	wakeSent      bool                 // a wake went out since this processor last held
+	stats         Stats
+	m             Metrics
+	stopped       bool
 }
 
 // New validates the configuration and creates a ring participant.
@@ -267,6 +296,8 @@ func New(cfg Config) (*Ring, error) {
 		m:          cfg.Metrics,
 		vcache:     newVerifyCache(),
 		submitN:    make(chan struct{}, 1),
+		seqAt:      make([]uint64, len(cfg.Members)),
+		selfIdx:    idx,
 		msgs:       make(map[uint64]*wire.Regular),
 		digestBook: make(map[uint64][sec.DigestSize]byte),
 		tokensSeen: make(map[uint64][sec.DigestSize]byte),
@@ -307,14 +338,21 @@ func (r *Ring) Submit(contents []byte) error {
 	depth := len(r.sendQ)
 	r.qmu.Unlock()
 	r.m.SendQueue.Set(int64(depth))
-	// Wake an in-progress idle hold so the submission is originated on
-	// this visit instead of after the full idle delay.
-	select {
-	case r.submitN <- struct{}{}:
-	default:
+	if r.pokeOnSubmit.Load() {
+		select {
+		case r.submitN <- struct{}{}:
+		default:
+		}
 	}
 	return nil
 }
+
+// SubmitNotify fires after a Submit that the event loop should act on at
+// once by calling Tick: one that arrives while this processor has the
+// token parked (Tick passes it), or while an idle token is parked at
+// another member and no wake hint has gone out yet (Tick sends one). Any
+// other submission waits for the token without waking the loop.
+func (r *Ring) SubmitNotify() <-chan struct{} { return r.submitN }
 
 // QueuedSubmissions reports how many submissions await origination.
 func (r *Ring) QueuedSubmissions() int {
@@ -488,8 +526,11 @@ func (r *Ring) PreverifyTokens(raws [][]byte) {
 // successor of the token's sender, takes the holder role.
 func (r *Ring) acceptToken(tok *wire.Token, raw []byte) {
 	r.visit = tok.Visit
-	r.tokensSeen[tok.Visit] = sec.Digest(raw)
-	r.lastAccepted = sec.Digest(raw)
+	d := sec.Digest(raw)
+	r.tokensSeen[tok.Visit] = d
+	r.lastAccepted = d
+	// The rotation moved on: a token parked here is superseded.
+	r.parked = nil
 	if tok.Seq > r.seq {
 		r.seq = tok.Seq
 	}
@@ -499,6 +540,9 @@ func (r *Ring) acceptToken(tok *wire.Token, raw []byte) {
 	// later signed token contradicting a recorded digest is attributable
 	// evidence that its signer is faulty.
 	for _, e := range tok.DigestList {
+		if e.Seq <= r.gcMark {
+			continue // delivered everywhere and collected
+		}
 		if d, ok := r.digestBook[e.Seq]; ok {
 			if d != e.Digest {
 				r.obs.TokenInvalid(tok.Sender, "conflicting digest in token")
@@ -516,13 +560,69 @@ func (r *Ring) acceptToken(tok *wire.Token, raw []byte) {
 	}
 	r.gc(st)
 
-	if r.successorOf(tok.Sender) == r.cfg.Self {
+	addressee := r.successorOf(tok.Sender)
+	r.seqAt[r.indexOf(tok.Sender)] = tok.Seq
+	if addressee == r.cfg.Self {
 		r.holdToken(tok)
+		return
 	}
+	r.idleElsewhere = r.idleAt(tok, addressee)
+	r.offerWake()
 }
 
-// holdToken performs one token visit: retransmit requested messages,
-// originate new ones, update seq/aru/rtr, and pass the token on.
+// idleAt reports whether member p, holding tok, parks it: pacing is on,
+// the token requests no retransmissions, and the ring made no sequence
+// progress since p's own previous token. Every member sees every token,
+// so any member can evaluate the rule for the addressee (p's submit queue
+// is invisible, but a member with work passes at once anyway).
+func (r *Ring) idleAt(tok *wire.Token, p ids.ProcessorID) bool {
+	return r.cfg.IdleDelay > 0 && len(tok.RtrList) == 0 && tok.Seq <= r.seqAt[r.indexOf(p)]
+}
+
+// offerWake multicasts the wake hint once per idle period when the last
+// token seen is parked at another member and submissions wait here. With
+// nothing queued it arms the submit poke instead, so a later Submit gets
+// the loop to call Tick, which comes back here. The poke is armed before
+// the queue is read, so a racing Submit is never missed.
+func (r *Ring) offerWake() {
+	if !r.idleElsewhere || r.wakeSent {
+		r.pokeOnSubmit.Store(false)
+		return
+	}
+	r.pokeOnSubmit.Store(true)
+	if r.QueuedSubmissions() == 0 {
+		return
+	}
+	r.pokeOnSubmit.Store(false)
+	r.wakeSent = true
+	r.stats.Wakes++
+	r.cfg.Trans.Multicast((&wire.Wake{Ring: r.cfg.Ring}).Marshal())
+}
+
+// HandleWake processes a wake hint from member from: a parked token is
+// passed at once; otherwise this processor skips its next idle hold, so
+// the token travels unpaced to the member that asked. Hints naming
+// another ring, or sent by a non-member, are ignored. A hint changes only
+// when the token moves, never what it carries, so a forged one costs at
+// most an unpaced rotation and a lost one leaves the paced rotation.
+func (r *Ring) HandleWake(from ids.ProcessorID, raw []byte) {
+	if r.stopped || r.cfg.IdleDelay <= 0 {
+		return
+	}
+	w, err := wire.UnmarshalWake(raw)
+	if err != nil || w.Ring != r.cfg.Ring || from == r.cfg.Self || !r.memberOf(from) {
+		return
+	}
+	if r.parked != nil {
+		r.release()
+		return
+	}
+	r.skipHold = true
+}
+
+// holdToken takes the holder role for prev: an idle token (see idleAt)
+// is parked for IdleDelay unless submissions wait or a wake hint asked
+// for an unpaced rotation; otherwise the visit runs at once.
 func (r *Ring) holdToken(prev *wire.Token) {
 	r.stats.TokenHeld++
 	if r.m.Rotation != nil {
@@ -534,21 +634,38 @@ func (r *Ring) holdToken(prev *wire.Token) {
 		}
 		r.lastHoldAt = t
 	}
-	if r.cfg.IdleDelay > 0 && len(prev.RtrList) == 0 &&
-		prev.Seq <= r.lastHeldSeq && r.QueuedSubmissions() == 0 {
+	r.idleElsewhere, r.wakeSent = false, false
+	skip := r.skipHold
+	r.skipHold = false
+	if !skip && r.idleAt(prev, r.cfg.Self) {
 		// Idle pacing: the ring made no sequence progress over the whole
-		// rotation since our previous hold and we have nothing to add, so
-		// hold the token briefly to keep an idle ring from spinning. A
-		// busy ring (prev.Seq advanced) skips this entirely — pacing on a
-		// loaded ring would charge every rotation the full delay at each
-		// non-originating member. A local Submit interrupts the hold.
-		t := time.NewTimer(r.cfg.IdleDelay)
-		select {
-		case <-r.submitN:
-		case <-t.C:
+		// rotation since our previous hold, so park the token briefly to
+		// keep an idle ring from spinning. A busy ring (prev.Seq advanced)
+		// skips this entirely — pacing on a loaded ring would charge every
+		// rotation the full delay at each non-originating member. The poke
+		// is armed before the queue is read, so a racing Submit either
+		// shows up here or signals SubmitNotify.
+		r.parked, r.parkUntil = prev, r.now().Add(r.cfg.IdleDelay)
+		r.pokeOnSubmit.Store(true)
+		if r.QueuedSubmissions() == 0 {
+			return
 		}
-		t.Stop()
+		r.parked = nil
 	}
+	r.passToken(prev)
+}
+
+// release passes the parked token.
+func (r *Ring) release() {
+	prev := r.parked
+	r.parked = nil
+	r.passToken(prev)
+}
+
+// passToken performs one token visit: retransmit requested messages,
+// originate new ones, update seq/aru/rtr, and pass the token on.
+func (r *Ring) passToken(prev *wire.Token) {
+	r.pokeOnSubmit.Store(false)
 
 	// 1. Retransmit messages from the incoming retransmission request
 	// list that we hold (§7.1: "requesting retransmission of messages").
@@ -606,7 +723,7 @@ func (r *Ring) holdToken(prev *wire.Token) {
 		r.m.Originated.Inc()
 	}
 	r.seq = seq
-	r.lastHeldSeq = seq
+	r.seqAt[r.selfIdx] = seq
 	r.tryDeliver()
 
 	// 2b. Carry known digests for still-unstable older messages so that
@@ -659,14 +776,24 @@ func (r *Ring) holdToken(prev *wire.Token) {
 	r.m.TokensSigned.Inc()
 
 	raw := next.Marshal()
+	d := sec.Digest(raw)
 	r.visit = next.Visit
-	r.tokensSeen[next.Visit] = sec.Digest(raw)
-	r.lastAccepted = sec.Digest(raw)
+	r.tokensSeen[next.Visit] = d
+	r.lastAccepted = d
 	r.lastSentRaw = raw
 	r.lastSentVis = next.Visit
 	r.lastSentAt = r.now()
+	// The successor parks this token if it shows no progress since the
+	// successor's own last one: the resend timer allows for that hold, and
+	// a submission waiting here (or arriving during the hold) wakes it.
+	r.idleElsewhere = r.idleAt(next, r.successor)
+	r.resendAfter = r.cfg.TokenTimeout
+	if r.idleElsewhere {
+		r.resendAfter += r.cfg.IdleDelay
+	}
 	r.obs.TokenActivity(r.cfg.Self, next.Visit)
 	r.cfg.Trans.Multicast(raw)
+	r.offerWake()
 }
 
 // takeBatch removes up to max pending submissions (max ≤ MaxPerVisit,
@@ -823,17 +950,21 @@ func (r *Ring) stableAru(aru uint64) uint64 {
 }
 
 // gc releases messages every processor is known to have received (all
-// sequence numbers at or below the stability threshold from stableAru).
+// sequence numbers at or below the stability threshold from stableAru),
+// walking only the sequence numbers that became stable since the last
+// call. Nothing at or below gcMark is ever re-added: HandleRegular drops
+// delivered sequence numbers, and digest vouchers for them are skipped.
 func (r *Ring) gc(aru uint64) {
-	for s := range r.msgs {
-		if s <= aru && s <= r.delivered {
-			delete(r.msgs, s)
-		}
+	limit := aru
+	if r.delivered < limit {
+		limit = r.delivered
 	}
-	for s := range r.digestBook {
-		if s <= aru && s <= r.delivered {
-			delete(r.digestBook, s)
-		}
+	for s := r.gcMark + 1; s <= limit; s++ {
+		delete(r.msgs, s)
+		delete(r.digestBook, s)
+	}
+	if limit > r.gcMark {
+		r.gcMark = limit
 	}
 	// Bound the mutant-detection window.
 	if len(r.tokensSeen) > 4096 {
@@ -883,6 +1014,9 @@ func (r *Ring) AdoptFlushDigests(entries []wire.DigestEntry, from ids.ProcessorI
 		return
 	}
 	for _, e := range entries {
+		if e.Seq <= r.gcMark {
+			continue
+		}
 		if d, ok := r.digestBook[e.Seq]; ok {
 			if d != e.Digest {
 				r.obs.TokenInvalid(from, "conflicting digest in flush")
@@ -905,23 +1039,48 @@ func (r *Ring) DrainQueue() [][]byte {
 	return q
 }
 
-// Tick drives token-loss recovery: if this processor multicast the token
-// last and has seen no later token within the timeout, it retransmits its
-// token (§7.1 message retransmission applies to the token too).
+// Tick runs the ring's timed duties. A parked token is passed once its
+// idle hold expires or submissions wait; a wake hint goes out if one is
+// due (see offerWake); and token-loss recovery runs: if this processor
+// multicast the token last and has seen no later token within the
+// timeout, it retransmits its token (§7.1 message retransmission applies
+// to the token too).
 func (r *Ring) Tick() {
-	if r.stopped || r.lastSentRaw == nil {
+	if r.stopped {
 		return
 	}
-	if r.visit > r.lastSentVis {
-		return // rotation moved on
+	if r.parked != nil {
+		if r.QueuedSubmissions() > 0 || !r.now().Before(r.parkUntil) {
+			r.release()
+		}
+		return
 	}
-	if r.now().Sub(r.lastSentAt) < r.cfg.TokenTimeout {
+	r.offerWake()
+	if r.lastSentRaw == nil || r.visit > r.lastSentVis {
+		return // nothing sent yet, or the rotation moved on
+	}
+	if r.now().Sub(r.lastSentAt) < r.resendAfter {
 		return
 	}
 	r.cfg.Trans.Multicast(r.lastSentRaw)
 	r.stats.TokenResends++
 	r.m.TokenResends.Inc()
 	r.lastSentAt = r.now()
+}
+
+// Deadline returns when Tick next has timed work: the expiry of an idle
+// hold, or the token retransmission timeout. The zero time means none;
+// Tick is then needed only after SubmitNotify fires.
+func (r *Ring) Deadline() time.Time {
+	switch {
+	case r.stopped:
+		return time.Time{}
+	case r.parked != nil:
+		return r.parkUntil
+	case r.lastSentRaw == nil || r.visit > r.lastSentVis:
+		return time.Time{}
+	}
+	return r.lastSentAt.Add(r.resendAfter)
 }
 
 func (r *Ring) memberOf(p ids.ProcessorID) bool {
@@ -931,6 +1090,16 @@ func (r *Ring) memberOf(p ids.ProcessorID) bool {
 		}
 	}
 	return false
+}
+
+// indexOf returns p's position in the membership; p must be a member.
+func (r *Ring) indexOf(p ids.ProcessorID) int {
+	for i, m := range r.cfg.Members {
+		if m == p {
+			return i
+		}
+	}
+	return r.selfIdx // unreachable for validated senders
 }
 
 // successorOf returns the member following p in ring order.

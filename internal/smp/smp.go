@@ -10,6 +10,7 @@ package smp
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"immune/internal/detector"
@@ -64,11 +65,12 @@ type Config struct {
 	// stable aru (the ring's retransmission-buffer flow control). 0
 	// means ring.DefaultMaxUnstable; negative unbounded.
 	MaxUnstable int
-	// IdleDelay paces an idle token rotation; 0 means 500µs. An idle
-	// six-member ring then costs ~2000 signed token visits/s instead of
-	// spinning, which matters when many systems share a machine (tests).
-	IdleDelay time.Duration
-	// TokenTimeout is the token retransmission timeout; 0 means 2ms.
+	// TokenTimeout is the token retransmission timeout; 0 means 2ms. An
+	// idle token is also paced by it: a holder with nothing to do parks
+	// the token for TokenTimeout/2 (1ms by default) before passing it, so
+	// an idle six-member ring costs ~1000 token visits/s instead of
+	// spinning. Pacing adds no latency to a submission: a local Submit
+	// ends the hold, and a remote one sends a wake hint that does.
 	TokenTimeout time.Duration
 	// SuspectTimeout is the fault detector's liveness timeout; 0 means
 	// 50ms.
@@ -79,8 +81,6 @@ type Config struct {
 	// Deployments on lossy links raise it so wire corruption is not
 	// mistaken for processor misbehaviour.
 	StrikeThreshold int
-	// PollInterval is the event-loop sleep when idle; 0 means 100µs.
-	PollInterval time.Duration
 	// Metrics are optional observability hooks; the zero value disables
 	// them.
 	Metrics Metrics
@@ -97,7 +97,10 @@ type Stack struct {
 	curInst membership.Install
 	pending []membership.Install // installs awaiting event-loop processing
 
-	ctl chan func() // control requests run on the event goroutine
+	ctl  chan func()   // control requests run on the event goroutine
+	kick chan struct{} // capacity 1: run the timers now (cross-goroutine state change)
+
+	wakeups atomic.Uint64 // times the event loop woke from sleep
 
 	stop    chan struct{}
 	done    chan struct{}
@@ -115,22 +118,17 @@ func New(cfg Config) (*Stack, error) {
 	if cfg.Suite == nil {
 		return nil, fmt.Errorf("smp %s: suite required", cfg.Self)
 	}
-	if cfg.IdleDelay == 0 {
-		cfg.IdleDelay = 500 * time.Microsecond
-	}
 	if cfg.TokenTimeout <= 0 {
 		cfg.TokenTimeout = 2 * time.Millisecond
 	}
 	if cfg.SuspectTimeout <= 0 {
 		cfg.SuspectTimeout = 50 * time.Millisecond
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 100 * time.Microsecond
-	}
 
 	s := &Stack{
 		cfg:  cfg,
 		ctl:  make(chan func(), 4),
+		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -194,7 +192,6 @@ func (s *Stack) buildRing(inst membership.Install, carryover [][]byte) (*ring.Ri
 		MaxQueue:     s.cfg.MaxSubmitQueue,
 		MaxUnstable:  s.cfg.MaxUnstable,
 		TokenTimeout: s.cfg.TokenTimeout,
-		IdleDelay:    s.cfg.IdleDelay,
 		Deliver: func(m *wire.Regular) {
 			s.cfg.Deliver(Delivery{
 				Sender:  m.Sender,
@@ -203,7 +200,7 @@ func (s *Stack) buildRing(inst membership.Install, carryover [][]byte) (*ring.Ri
 				Payload: m.Contents,
 			})
 		},
-	})
+	}.Paced())
 	if err != nil {
 		return nil, err
 	}
@@ -296,8 +293,14 @@ func (s *Stack) Suspects() []ids.ProcessorID { return s.det.Suspects() }
 // detector (paper §6.2). Safe from any goroutine.
 func (s *Stack) ValueFaultSuspect(p ids.ProcessorID) {
 	// Detector suspicion state is internally locked; event-loop-only
-	// state is not touched here.
+	// state is not touched here. The kick makes the event loop run the
+	// membership protocol now, which starts excluding p without waiting
+	// for a frame or timer.
 	s.det.ValueFaultSuspect(p)
+	select {
+	case s.kick <- struct{}{}:
+	default:
+	}
 }
 
 // RingStats returns the current ring's counters (zero value if excluded).
@@ -397,16 +400,21 @@ const maxBatch = 128
 
 // loop is the stack's single event goroutine: drain a batch of frames,
 // preverify any signed tokens in the batch in parallel, dispatch the
-// batch serially, run the timers, and sleep only when idle — woken early
-// by the endpoint's notify channel when a frame arrives, so hand-off
-// latency is set by the network, not by the poll interval.
+// batch serially, run the protocol timers when one is due, and sleep until
+// the earliest protocol deadline (ring idle hold or token resend, suspect
+// timeout, membership propose/flush/form/announce/rejoin/leave). It wakes
+// early for a frame (the endpoint's notify channel), a control request, a
+// Submit the ring must act on at once (see ring.SubmitNotify), or a kick
+// from ValueFaultSuspect. There is no poll: an idle stack sleeps until
+// its next deadline.
 func (s *Stack) loop() {
 	defer close(s.done)
 	notify := s.cfg.Endpoint.Notify()
-	timer := time.NewTimer(s.cfg.PollInterval)
+	timer := time.NewTimer(time.Hour)
+	stopTimer(timer)
 	defer timer.Stop()
-	lastTick := time.Now()
 	batch := make([]transport.Frame, 0, maxBatch)
+	kicked := true // run the timers once on start
 	for {
 		select {
 		case <-s.stop:
@@ -437,55 +445,110 @@ func (s *Stack) loop() {
 			}
 			break
 		}
-		now := time.Now()
-		if now.Sub(lastTick) >= s.cfg.PollInterval {
-			lastTick = now
-			s.mu.Lock()
-			cur := s.cur
-			s.mu.Unlock()
-			if cur != nil {
-				cur.Tick()
-			}
-			// While a membership change is forming, the old ring is
-			// expected to stall; running the liveness walk then would
-			// pile false suspicions onto correct processors. The
-			// membership protocol's own unresponsive-reporting covers
-			// that phase. An excluded processor (no ring) observes no
-			// token activity at all, so the walk would only poison its
-			// readmission exchange.
-			// A leaver's liveness walk is equally meaningless: the
-			// survivors abandon its ring the moment they install the view
-			// without it.
-			if !s.mem.Forming() && !s.mem.Leaving() && cur != nil {
-				s.det.Tick()
-			}
-			s.mem.Tick()
-			s.applyInstalls()
+		cur := s.current()
+		next := s.deadline(cur)
+		if kicked || (!next.IsZero() && !time.Now().Before(next)) {
+			kicked = false
+			s.tick(cur)
+			cur = s.current()
+			next = s.deadline(cur)
 		}
-		if len(batch) == 0 {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
+		if len(batch) == maxBatch {
+			continue // more frames are likely waiting
+		}
+
+		var submitted <-chan struct{}
+		if cur != nil {
+			submitted = cur.SubmitNotify()
+		}
+		var expired <-chan time.Time
+		if !next.IsZero() {
+			stopTimer(timer)
+			timer.Reset(time.Until(next))
+			expired = timer.C
+		}
+		select {
+		case <-s.stop:
+			return
+		case f := <-s.ctl:
+			f()
+		case _, ok := <-notify:
+			if !ok {
+				// Network closed: no more frames will ever arrive. A
+				// closed channel is always readable, so selecting on it
+				// again would spin; run on deadlines alone.
+				notify = nil
 			}
-			timer.Reset(s.cfg.PollInterval)
-			select {
-			case <-s.stop:
-				return
-			case f := <-s.ctl:
-				f()
-			case _, ok := <-notify:
-				if !ok {
-					// Network closed: no more frames will ever arrive.
-					// A closed channel is always readable, so selecting
-					// on it again would spin; fall back to timer pacing.
-					notify = nil
-				}
-			case <-timer.C:
-			}
+		case <-submitted:
+			kicked = true
+		case <-s.kick:
+			kicked = true
+		case <-expired:
+		}
+		s.wakeups.Add(1)
+	}
+}
+
+// stopTimer stops t and drains a pending expiry, so Reset starts clean.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
 		}
 	}
+}
+
+// current returns the live ring (nil once excluded).
+func (s *Stack) current() *ring.Ring {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cur
+}
+
+// detectorLive reports whether the liveness walk runs. While a membership
+// change is forming, the old ring is expected to stall; running the walk
+// then would pile false suspicions onto correct processors. The
+// membership protocol's own unresponsive-reporting covers that phase. An
+// excluded processor (no ring) observes no token activity at all, so the
+// walk would only poison its readmission exchange. A leaver's walk is
+// equally meaningless: the survivors abandon its ring the moment they
+// install the view without it.
+func (s *Stack) detectorLive(cur *ring.Ring) bool {
+	return cur != nil && !s.mem.Forming() && !s.mem.Leaving()
+}
+
+// tick runs every protocol timer; each is a no-op unless due.
+func (s *Stack) tick(cur *ring.Ring) {
+	if cur != nil {
+		cur.Tick()
+	}
+	if s.detectorLive(cur) {
+		s.det.Tick()
+	}
+	s.mem.Tick()
+	s.applyInstalls()
+}
+
+// deadline returns the earliest pending protocol deadline, the zero time
+// if none. It consults exactly the timers tick runs.
+func (s *Stack) deadline(cur *ring.Ring) time.Time {
+	next := s.mem.Deadline()
+	if cur != nil {
+		next = earliest(next, cur.Deadline())
+	}
+	if s.detectorLive(cur) {
+		next = earliest(next, s.det.Deadline())
+	}
+	return next
+}
+
+// earliest returns the earlier of two deadlines, where zero means none.
+func earliest(a, b time.Time) time.Time {
+	if a.IsZero() || (!b.IsZero() && b.Before(a)) {
+		return b
+	}
+	return a
 }
 
 // preverify warms the current ring's signature-verification cache for all
@@ -505,10 +568,7 @@ func (s *Stack) preverify(batch []transport.Frame) {
 	if len(toks) < 2 {
 		return
 	}
-	s.mu.Lock()
-	cur := s.cur
-	s.mu.Unlock()
-	if cur != nil {
+	if cur := s.current(); cur != nil {
 		cur.PreverifyTokens(toks)
 	}
 }
@@ -519,9 +579,7 @@ func (s *Stack) dispatch(f transport.Frame) {
 	if err != nil {
 		return
 	}
-	s.mu.Lock()
-	cur := s.cur
-	s.mu.Unlock()
+	cur := s.current()
 	switch kind {
 	case wire.KindToken:
 		if cur != nil {
@@ -530,6 +588,10 @@ func (s *Stack) dispatch(f transport.Frame) {
 	case wire.KindRegular:
 		if cur != nil {
 			cur.HandleRegular(f.Payload)
+		}
+	case wire.KindWake:
+		if cur != nil {
+			cur.HandleWake(f.From, f.Payload)
 		}
 	case wire.KindMembership:
 		s.mem.HandleMessage(f.Payload)
@@ -558,11 +620,7 @@ type bridgeAdapter struct{ s *Stack }
 
 var _ membership.RingBridge = bridgeAdapter{}
 
-func (b bridgeAdapter) cur() *ring.Ring {
-	b.s.mu.Lock()
-	defer b.s.mu.Unlock()
-	return b.s.cur
-}
+func (b bridgeAdapter) cur() *ring.Ring { return b.s.current() }
 
 func (b bridgeAdapter) Delivered() uint64 {
 	if r := b.cur(); r != nil {

@@ -82,10 +82,8 @@ func newTestCluster(t *testing.T, n int, level sec.Level, netCfg netsim.Config) 
 			Members:        members,
 			Suite:          suite,
 			Endpoint:       ep,
-			IdleDelay:      100 * time.Microsecond,
 			TokenTimeout:   2 * time.Millisecond,
 			SuspectTimeout: 25 * time.Millisecond,
-			PollInterval:   50 * time.Microsecond,
 			Deliver: func(d Delivery) {
 				sut.mu.Lock()
 				defer sut.mu.Unlock()

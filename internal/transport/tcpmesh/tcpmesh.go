@@ -350,8 +350,10 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 		return
 	}
 	if old, ok := e.bySender[from]; ok && old != conn {
-		old.Close()
+		// Count before closing: the close is what the peer observes, so
+		// the counter must already reflect it by then.
 		e.cfg.Metrics.InboundSuperseded.Inc()
+		old.Close()
 	}
 	e.bySender[from] = conn
 	registered = true

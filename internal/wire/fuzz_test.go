@@ -128,6 +128,21 @@ func FuzzUnmarshalFlush(f *testing.F) {
 	})
 }
 
+func FuzzUnmarshalWake(f *testing.F) {
+	f.Add((&Wake{Ring: 3}).Marshal())
+	f.Add([]byte{byte(KindWake)})
+	f.Add([]byte{byte(KindWake), 1, 2, 3, 4, 5})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		w, err := UnmarshalWake(payload)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal((&Wake{Ring: w.Ring}).Marshal(), payload) {
+			t.Fatal("wake re-encode differs from input")
+		}
+	})
+}
+
 // FuzzPeekKind: classification of arbitrary bytes must never panic and
 // must agree with the full decoders on the kind tag.
 func FuzzPeekKind(f *testing.F) {

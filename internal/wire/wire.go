@@ -38,6 +38,8 @@ func (k Kind) String() string {
 		return "membership"
 	case KindFlush:
 		return "flush"
+	case KindWake:
+		return "wake"
 	default:
 		return fmt.Sprintf("Kind(%d)", byte(k))
 	}
@@ -180,7 +182,7 @@ func PeekKind(payload []byte) (Kind, error) {
 	}
 	k := Kind(payload[0])
 	switch k {
-	case KindRegular, KindToken, KindMembership, KindFlush:
+	case KindRegular, KindToken, KindMembership, KindFlush, KindWake:
 		return k, nil
 	default:
 		return 0, ErrBadKind

@@ -327,3 +327,35 @@ func TestAnnounceRoundTrip(t *testing.T) {
 		t.Fatal("kind past leave accepted")
 	}
 }
+
+func TestWakeRoundTrip(t *testing.T) {
+	enc := (&Wake{Ring: 7}).Marshal()
+	if len(enc) != wakeSize {
+		t.Fatalf("wake encodes to %d bytes, want %d", len(enc), wakeSize)
+	}
+	k, err := PeekKind(enc)
+	if err != nil || k != KindWake {
+		t.Fatalf("PeekKind = (%v, %v), want wake", k, err)
+	}
+	w, err := UnmarshalWake(enc)
+	if err != nil || w.Ring != 7 {
+		t.Fatalf("UnmarshalWake = (%+v, %v)", w, err)
+	}
+	if KindWake.String() != "wake" {
+		t.Fatalf("String() = %q", KindWake.String())
+	}
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := UnmarshalWake(enc[:cut]); err == nil {
+			t.Fatalf("truncated wake at %d decoded", cut)
+		}
+	}
+	if _, err := UnmarshalWake(append(enc, 0)); err == nil {
+		t.Fatal("wake with a trailing byte decoded")
+	}
+	if _, err := UnmarshalWake((&Token{Sender: 1}).Marshal()); err == nil {
+		t.Fatal("wake decoder accepted a token")
+	}
+	if _, err := UnmarshalToken(enc); err == nil {
+		t.Fatal("token decoder accepted a wake")
+	}
+}
