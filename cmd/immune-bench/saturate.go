@@ -81,33 +81,39 @@ func runSaturate(duration time.Duration, payloadSize, memCeilingMB int) error {
 		wg         sync.WaitGroup
 	)
 	body := immune.PacketPayload(payloadSize)
+	// One sender per driver replica. The three replicas form one
+	// replicated client group, and the sink votes on their copies of each
+	// operation: every copy must carry the same request, so each replica
+	// must issue the same call sequence. Several goroutines per replica
+	// would interleave the ORB's request ids and the replica's operation
+	// ids differently on each replica, and the voters would then see
+	// disagreeing copies and exclude the drivers as value-faulty.
 	for _, obj := range drivers {
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(o *immune.Object) {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					switch err := o.InvokeOneWay("push", body); {
-					case err == nil:
-						sent.Add(1)
-					case errors.Is(err, immune.ErrOverloaded):
-						overloaded.Add(1)
-						// Back off as the error contract prescribes.
-						// A hot retry loop would starve the protocol
-						// goroutines of CPU on small machines and turn
-						// the smoke into a scheduler-fairness test.
-						time.Sleep(200 * time.Microsecond)
-					default:
-						hardErrs.Add(1)
-					}
+		wg.Add(1)
+		go func(o *immune.Object) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}(obj)
-		}
+				switch err := o.InvokeOneWay("push", body); {
+				case err == nil:
+					sent.Add(1)
+				case errors.Is(err, immune.ErrOverloaded):
+					overloaded.Add(1)
+					// Back off as the error contract prescribes, then
+					// retry the same call. A hot retry loop would
+					// starve the protocol goroutines of CPU on small
+					// machines and turn the smoke into a
+					// scheduler-fairness test.
+					time.Sleep(200 * time.Microsecond)
+				default:
+					hardErrs.Add(1)
+				}
+			}
+		}(obj)
 	}
 
 	var (

@@ -84,6 +84,14 @@ type CryptoSuite interface {
 	VerifyToken(sender ids.ProcessorID, tokenBytes, sig []byte) bool
 }
 
+// DigestVerifier is the optional digest-taking extension of CryptoSuite:
+// the ring hashes each received token once and hands the signed-portion
+// digest to the RSA check. *sec.Suite implements it; the ring passes the
+// token bytes to VerifyToken when the suite does not.
+type DigestVerifier interface {
+	VerifyTokenDigest(sender ids.ProcessorID, digest [sec.DigestSize]byte, sig []byte) bool
+}
+
 // BatchVerifier is the optional batch extension of CryptoSuite: verify
 // many independent signatures with bounded parallelism, results in item
 // order. *sec.Suite implements it; PreverifyTokens falls back to serial
@@ -405,6 +413,7 @@ func (r *Ring) HandleToken(raw []byte) {
 		r.m.Rejects.Inc()
 		return
 	}
+	td := r.digestToken(tok)
 	if tok.Visit <= r.visit {
 		// Duplicate or stale token. If its contents differ from the
 		// token we accepted for that visit AND its signature verifies,
@@ -412,8 +421,8 @@ func (r *Ring) HandleToken(raw []byte) {
 		// visit — a mutant token. Without a verified signature the
 		// conflict is not attributable (anyone can forge garbage naming
 		// a correct processor), so it is dropped silently.
-		if seen, ok := r.tokensSeen[tok.Visit]; ok && seen != sec.Digest(raw) {
-			if r.verifyOnce(tok) {
+		if seen, ok := r.tokensSeen[tok.Visit]; ok && seen != td.full {
+			if r.verifyOnce(tok, td) {
 				r.obs.MutantToken(tok.Sender, tok.Visit)
 			}
 		}
@@ -424,7 +433,7 @@ func (r *Ring) HandleToken(raw []byte) {
 	// never that the named processor misbehaved. verifyOnce memoizes the
 	// verdict, so a token seen on both this path and the stale/mutant
 	// path above — or retransmitted — costs exactly one RSA operation.
-	if !r.verifyOnce(tok) {
+	if !r.verifyOnce(tok, td) {
 		r.stats.TokenRejects++
 		r.m.Rejects.Inc()
 		return
@@ -450,27 +459,54 @@ func (r *Ring) HandleToken(raw []byte) {
 		}
 	}
 
-	r.acceptToken(tok, raw)
+	r.acceptToken(tok, td.full)
+}
+
+// tokenDigests are a received token's MD4 digests, both from one pass
+// over its bytes: the signed portion's (what the signature covers; only
+// at LevelSignatures) and the full encoding's (the chain link, mutant
+// check and verify-cache key). Token.Marshal appends the signature after
+// the signed portion, so the full digest continues the signed one.
+type tokenDigests struct {
+	signed, full [sec.DigestSize]byte
+}
+
+func (r *Ring) digestToken(tok *wire.Token) (td tokenDigests) {
+	if r.level < sec.LevelSignatures {
+		td.full = sec.Digest(tok.Marshal())
+		return td
+	}
+	td.signed, td.full = sec.DigestPrefix(tok.Marshal(), len(tok.SignedPortion()))
+	return td
 }
 
 // verifyOnce checks a token signature through the bounded verify cache:
 // each distinct (sender, signed portion, signature) triple reaches the
 // RSA machinery at most once per processor. Below LevelSignatures tokens
-// are unsigned and every check is vacuously true, so the cache (and its
-// keying digests) is bypassed entirely.
-func (r *Ring) verifyOnce(tok *wire.Token) bool {
+// are unsigned and every check is vacuously true, so the cache is
+// bypassed entirely.
+func (r *Ring) verifyOnce(tok *wire.Token, td tokenDigests) bool {
 	if r.level < sec.LevelSignatures {
 		return r.cfg.Suite.VerifyToken(tok.Sender, tok.SignedPortion(), tok.Signature)
 	}
-	k := tokenVerifyKey(tok)
+	k := verifyKey{sender: tok.Sender, token: td.full}
 	if v, ok := r.vcache.lookup(k); ok {
 		r.m.VerifyCacheHits.Inc()
 		return v
 	}
-	v := r.cfg.Suite.VerifyToken(tok.Sender, tok.SignedPortion(), tok.Signature)
+	v := r.verifySignature(tok, &td.signed)
 	r.m.TokensVerified.Inc()
 	r.vcache.store(k, v)
 	return v
+}
+
+// verifySignature runs the RSA check, handing over the signed portion's
+// digest when the suite takes one.
+func (r *Ring) verifySignature(tok *wire.Token, signed *[sec.DigestSize]byte) bool {
+	if dv, ok := r.cfg.Suite.(DigestVerifier); ok {
+		return dv.VerifyTokenDigest(tok.Sender, *signed, tok.Signature)
+	}
+	return r.cfg.Suite.VerifyToken(tok.Sender, tok.SignedPortion(), tok.Signature)
 }
 
 // PreverifyTokens warms the verify cache for a drained batch of token
@@ -486,17 +522,20 @@ func (r *Ring) PreverifyTokens(raws [][]byte) {
 	}
 	var toks []*wire.Token
 	var keys []verifyKey
+	var signed [][sec.DigestSize]byte
 	for _, raw := range raws {
 		tok, err := wire.UnmarshalToken(raw)
 		if err != nil || tok.Ring != r.cfg.Ring || !r.memberOf(tok.Sender) {
 			continue
 		}
-		k := tokenVerifyKey(tok)
+		td := r.digestToken(tok)
+		k := verifyKey{sender: tok.Sender, token: td.full}
 		if _, ok := r.vcache.lookup(k); ok {
 			continue
 		}
 		toks = append(toks, tok)
 		keys = append(keys, k)
+		signed = append(signed, td.signed)
 	}
 	if len(toks) == 0 {
 		return
@@ -508,6 +547,7 @@ func (r *Ring) PreverifyTokens(raws [][]byte) {
 				Sender: tok.Sender,
 				Signed: tok.SignedPortion(),
 				Sig:    tok.Signature,
+				Digest: &signed[i],
 			}
 		}
 		for i, v := range bv.VerifyTokenBatch(items) {
@@ -517,16 +557,16 @@ func (r *Ring) PreverifyTokens(raws [][]byte) {
 		return
 	}
 	for i, tok := range toks {
-		r.vcache.store(keys[i], r.cfg.Suite.VerifyToken(tok.Sender, tok.SignedPortion(), tok.Signature))
+		r.vcache.store(keys[i], r.verifySignature(tok, &signed[i]))
 	}
 	r.m.TokensVerified.Add(uint64(len(toks)))
 }
 
-// acceptToken records an accepted token and, if this processor is the
-// successor of the token's sender, takes the holder role.
-func (r *Ring) acceptToken(tok *wire.Token, raw []byte) {
+// acceptToken records an accepted token, whose full encoding has digest
+// d, and, if this processor is the successor of the token's sender, takes
+// the holder role.
+func (r *Ring) acceptToken(tok *wire.Token, d [sec.DigestSize]byte) {
 	r.visit = tok.Visit
-	d := sec.Digest(raw)
 	r.tokensSeen[tok.Visit] = d
 	r.lastAccepted = d
 	// The rotation moved on: a token parked here is superseded.

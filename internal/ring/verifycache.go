@@ -3,25 +3,27 @@ package ring
 import (
 	"immune/internal/ids"
 	"immune/internal/sec"
-	"immune/internal/wire"
 )
 
 // verifyKey identifies one (claimed sender, signed bytes, signature)
-// triple. The signed portion and the signature are keyed by digest so the
-// cache holds fixed-size entries instead of retaining token buffers. A
-// forged or mutated token necessarily changes the triple, so a cached
-// verdict can never be transferred to different bytes: the cache
-// memoizes RSA results, it never weakens them.
+// triple. The token's full encoding is the signed portion followed by the
+// signature, so its digest stands for both and the cache holds fixed-size
+// entries instead of retaining token buffers. A forged or mutated token
+// necessarily changes the triple, so a cached verdict can never be
+// transferred to different bytes: the cache memoizes RSA results, it
+// never weakens them.
 type verifyKey struct {
 	sender ids.ProcessorID
-	signed [sec.DigestSize]byte
-	sig    [sec.DigestSize]byte
+	token  [sec.DigestSize]byte
 }
 
-// verifyCacheCap bounds the cache. A ring rotation keeps at most a few
-// live tokens in flight; the cap only matters under a flood of distinct
-// forgeries, where the cache clears rather than growing without bound.
-const verifyCacheCap = 1024
+// verifyCacheCap bounds the cache at what produces hits: the event loop
+// drains at most 128 frames per batch (smp maxBatch), and a hit is a
+// token seen again within a batch or on a resend soon after, so one
+// batch plus resends fits. A larger cap only retains dead entries, which
+// faster hops fill sooner, raising live heap. Under a flood of distinct
+// forgeries the cache clears rather than growing without bound.
+const verifyCacheCap = 256
 
 // verifyCache memoizes signature-verification verdicts so each distinct
 // token is RSA-verified at most once per processor — retransmitted tokens,
@@ -51,13 +53,4 @@ func (c *verifyCache) store(k verifyKey, v bool) {
 		clear(c.m)
 	}
 	c.m[k] = v
-}
-
-// tokenVerifyKey builds the cache key for a decoded token.
-func tokenVerifyKey(tok *wire.Token) verifyKey {
-	return verifyKey{
-		sender: tok.Sender,
-		signed: sec.Digest(tok.SignedPortion()),
-		sig:    sec.Digest(tok.Signature),
-	}
 }

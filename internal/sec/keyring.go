@@ -119,14 +119,22 @@ func (s *Suite) VerifyToken(sender ids.ProcessorID, tokenBytes, sig []byte) bool
 	if s.Level < LevelSignatures {
 		return true
 	}
+	return s.VerifyTokenDigest(sender, Digest(tokenBytes), sig)
+}
+
+// VerifyTokenDigest is VerifyToken for a caller that already holds the
+// digest of the token bytes, so the bytes are not hashed again.
+func (s *Suite) VerifyTokenDigest(sender ids.ProcessorID, digest [DigestSize]byte, sig []byte) bool {
+	if s.Level < LevelSignatures {
+		return true
+	}
 	key, err := s.Ring.Lookup(sender)
 	if err != nil {
 		return false
 	}
-	d := Digest(tokenBytes)
-	ok := key.Verify(d[:], sig)
+	ok := key.Verify(digest[:], sig)
 	for i := 1; i < s.WorkFactor; i++ {
-		key.Verify(d[:], sig)
+		key.Verify(digest[:], sig)
 	}
 	return ok
 }

@@ -10,6 +10,7 @@ package md4
 import (
 	"encoding/binary"
 	"hash"
+	"math/bits"
 )
 
 // Size is the size of an MD4 checksum in bytes.
@@ -50,6 +51,20 @@ func Sum(data []byte) [Size]byte {
 	var out [Size]byte
 	d.checkSum(&out)
 	return out
+}
+
+// SumPrefix returns the MD4 checksums of data[:n] and of all of data in
+// one pass: the state after data[:n] is finalised on a copy and then
+// continued over the rest.
+func SumPrefix(data []byte, n int) (prefix, whole [Size]byte) {
+	var d digest
+	d.Reset()
+	d.Write(data[:n])
+	d2 := d
+	d2.checkSum(&prefix)
+	d.Write(data[n:])
+	d.checkSum(&whole)
+	return prefix, whole
 }
 
 func (d *digest) Reset() {
@@ -111,47 +126,82 @@ func (d *digest) checkSum(out *[Size]byte) {
 	}
 }
 
-// Round shift amounts (RFC 1320 §3.4).
-var (
-	shift1 = [4]uint32{3, 7, 11, 19}
-	shift2 = [4]uint32{3, 5, 9, 13}
-	shift3 = [4]uint32{3, 9, 11, 15}
-
-	xIndex2 = [16]int{0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15}
-	xIndex3 = [16]int{0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15}
-)
-
-func rotl(x, s uint32) uint32 { return x<<s | x>>(32-s) }
-
-// block processes one 64-byte block (RFC 1320 §3.4).
+// block processes one 64-byte block (RFC 1320 §3.4), unrolled with the
+// round shift amounts as constant rotations.
 func block(d *digest, p []byte) {
-	var x [16]uint32
-	for i := range x {
-		x[i] = binary.LittleEndian.Uint32(p[i*4:])
-	}
+	_ = p[BlockSize-1]
+	x0 := binary.LittleEndian.Uint32(p[0:])
+	x1 := binary.LittleEndian.Uint32(p[4:])
+	x2 := binary.LittleEndian.Uint32(p[8:])
+	x3 := binary.LittleEndian.Uint32(p[12:])
+	x4 := binary.LittleEndian.Uint32(p[16:])
+	x5 := binary.LittleEndian.Uint32(p[20:])
+	x6 := binary.LittleEndian.Uint32(p[24:])
+	x7 := binary.LittleEndian.Uint32(p[28:])
+	x8 := binary.LittleEndian.Uint32(p[32:])
+	x9 := binary.LittleEndian.Uint32(p[36:])
+	x10 := binary.LittleEndian.Uint32(p[40:])
+	x11 := binary.LittleEndian.Uint32(p[44:])
+	x12 := binary.LittleEndian.Uint32(p[48:])
+	x13 := binary.LittleEndian.Uint32(p[52:])
+	x14 := binary.LittleEndian.Uint32(p[56:])
+	x15 := binary.LittleEndian.Uint32(p[60:])
 
 	a, b, c, dd := d.s[0], d.s[1], d.s[2], d.s[3]
 
 	// Round 1: F(x,y,z) = (x AND y) OR (NOT x AND z).
-	for i := 0; i < 16; i++ {
-		f := (b & c) | (^b & dd)
-		a = rotl(a+f+x[i], shift1[i%4])
-		a, b, c, dd = dd, a, b, c
-	}
+	a = bits.RotateLeft32(a+(((c^dd)&b)^dd)+x0, 3)
+	dd = bits.RotateLeft32(dd+(((b^c)&a)^c)+x1, 7)
+	c = bits.RotateLeft32(c+(((a^b)&dd)^b)+x2, 11)
+	b = bits.RotateLeft32(b+(((dd^a)&c)^a)+x3, 19)
+	a = bits.RotateLeft32(a+(((c^dd)&b)^dd)+x4, 3)
+	dd = bits.RotateLeft32(dd+(((b^c)&a)^c)+x5, 7)
+	c = bits.RotateLeft32(c+(((a^b)&dd)^b)+x6, 11)
+	b = bits.RotateLeft32(b+(((dd^a)&c)^a)+x7, 19)
+	a = bits.RotateLeft32(a+(((c^dd)&b)^dd)+x8, 3)
+	dd = bits.RotateLeft32(dd+(((b^c)&a)^c)+x9, 7)
+	c = bits.RotateLeft32(c+(((a^b)&dd)^b)+x10, 11)
+	b = bits.RotateLeft32(b+(((dd^a)&c)^a)+x11, 19)
+	a = bits.RotateLeft32(a+(((c^dd)&b)^dd)+x12, 3)
+	dd = bits.RotateLeft32(dd+(((b^c)&a)^c)+x13, 7)
+	c = bits.RotateLeft32(c+(((a^b)&dd)^b)+x14, 11)
+	b = bits.RotateLeft32(b+(((dd^a)&c)^a)+x15, 19)
 
 	// Round 2: G(x,y,z) = (x AND y) OR (x AND z) OR (y AND z).
-	for i := 0; i < 16; i++ {
-		g := (b & c) | (b & dd) | (c & dd)
-		a = rotl(a+g+x[xIndex2[i]]+0x5a827999, shift2[i%4])
-		a, b, c, dd = dd, a, b, c
-	}
+	a = bits.RotateLeft32(a+((b&c)|((b|c)&dd))+x0+0x5a827999, 3)
+	dd = bits.RotateLeft32(dd+((a&b)|((a|b)&c))+x4+0x5a827999, 5)
+	c = bits.RotateLeft32(c+((dd&a)|((dd|a)&b))+x8+0x5a827999, 9)
+	b = bits.RotateLeft32(b+((c&dd)|((c|dd)&a))+x12+0x5a827999, 13)
+	a = bits.RotateLeft32(a+((b&c)|((b|c)&dd))+x1+0x5a827999, 3)
+	dd = bits.RotateLeft32(dd+((a&b)|((a|b)&c))+x5+0x5a827999, 5)
+	c = bits.RotateLeft32(c+((dd&a)|((dd|a)&b))+x9+0x5a827999, 9)
+	b = bits.RotateLeft32(b+((c&dd)|((c|dd)&a))+x13+0x5a827999, 13)
+	a = bits.RotateLeft32(a+((b&c)|((b|c)&dd))+x2+0x5a827999, 3)
+	dd = bits.RotateLeft32(dd+((a&b)|((a|b)&c))+x6+0x5a827999, 5)
+	c = bits.RotateLeft32(c+((dd&a)|((dd|a)&b))+x10+0x5a827999, 9)
+	b = bits.RotateLeft32(b+((c&dd)|((c|dd)&a))+x14+0x5a827999, 13)
+	a = bits.RotateLeft32(a+((b&c)|((b|c)&dd))+x3+0x5a827999, 3)
+	dd = bits.RotateLeft32(dd+((a&b)|((a|b)&c))+x7+0x5a827999, 5)
+	c = bits.RotateLeft32(c+((dd&a)|((dd|a)&b))+x11+0x5a827999, 9)
+	b = bits.RotateLeft32(b+((c&dd)|((c|dd)&a))+x15+0x5a827999, 13)
 
 	// Round 3: H(x,y,z) = x XOR y XOR z.
-	for i := 0; i < 16; i++ {
-		h := b ^ c ^ dd
-		a = rotl(a+h+x[xIndex3[i]]+0x6ed9eba1, shift3[i%4])
-		a, b, c, dd = dd, a, b, c
-	}
+	a = bits.RotateLeft32(a+(b^c^dd)+x0+0x6ed9eba1, 3)
+	dd = bits.RotateLeft32(dd+(a^b^c)+x8+0x6ed9eba1, 9)
+	c = bits.RotateLeft32(c+(dd^a^b)+x4+0x6ed9eba1, 11)
+	b = bits.RotateLeft32(b+(c^dd^a)+x12+0x6ed9eba1, 15)
+	a = bits.RotateLeft32(a+(b^c^dd)+x2+0x6ed9eba1, 3)
+	dd = bits.RotateLeft32(dd+(a^b^c)+x10+0x6ed9eba1, 9)
+	c = bits.RotateLeft32(c+(dd^a^b)+x6+0x6ed9eba1, 11)
+	b = bits.RotateLeft32(b+(c^dd^a)+x14+0x6ed9eba1, 15)
+	a = bits.RotateLeft32(a+(b^c^dd)+x1+0x6ed9eba1, 3)
+	dd = bits.RotateLeft32(dd+(a^b^c)+x9+0x6ed9eba1, 9)
+	c = bits.RotateLeft32(c+(dd^a^b)+x5+0x6ed9eba1, 11)
+	b = bits.RotateLeft32(b+(c^dd^a)+x13+0x6ed9eba1, 15)
+	a = bits.RotateLeft32(a+(b^c^dd)+x3+0x6ed9eba1, 3)
+	dd = bits.RotateLeft32(dd+(a^b^c)+x11+0x6ed9eba1, 9)
+	c = bits.RotateLeft32(c+(dd^a^b)+x7+0x6ed9eba1, 11)
+	b = bits.RotateLeft32(b+(c^dd^a)+x15+0x6ed9eba1, 15)
 
 	d.s[0] += a
 	d.s[1] += b

@@ -110,6 +110,35 @@ func TestPaddingBoundaries(t *testing.T) {
 	}
 }
 
+// TestChunkedMatchesOneShotAllLengths feeds every length 0–300 through
+// the streaming writer in several chunk sizes, and through SumPrefix at
+// every split point, crossing the 55/56/64-byte padding edges many times.
+func TestChunkedMatchesOneShotAllLengths(t *testing.T) {
+	msg := make([]byte, 300)
+	for i := range msg {
+		msg[i] = byte(i*131 + i>>3)
+	}
+	for n := 0; n <= len(msg); n++ {
+		data := msg[:n]
+		want := Sum(data)
+		for _, chunk := range []int{1, 5, 55, 56, 63, 64, 65} {
+			h := New()
+			for i := 0; i < n; i += chunk {
+				h.Write(data[i:min(i+chunk, n)])
+			}
+			if got := h.Sum(nil); !bytes.Equal(got, want[:]) {
+				t.Fatalf("len %d chunk %d: streaming %x != one-shot %x", n, chunk, got, want)
+			}
+		}
+		for split := 0; split <= n; split++ {
+			prefix, whole := SumPrefix(data, split)
+			if whole != want || prefix != Sum(data[:split]) {
+				t.Fatalf("len %d split %d: SumPrefix disagrees with Sum", n, split)
+			}
+		}
+	}
+}
+
 // TestDeterministic verifies the digest is a pure function of the input.
 func TestDeterministic(t *testing.T) {
 	f := func(data []byte) bool {

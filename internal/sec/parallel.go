@@ -15,11 +15,14 @@ import (
 )
 
 // TokenVerification is one signed-token check in a batch: the claimed
-// signer, the signed bytes, and the signature to verify.
+// signer, the signed bytes, and the signature to verify. A caller that
+// has already hashed the signed bytes passes their digest too, and the
+// check uses it instead of hashing Signed again.
 type TokenVerification struct {
 	Sender ids.ProcessorID
 	Signed []byte
 	Sig    []byte
+	Digest *[DigestSize]byte // optional: Digest(Signed)
 }
 
 // maxVerifyWorkers bounds the signature-verification fan-out.
@@ -54,7 +57,12 @@ func (s *Suite) VerifyTokenBatch(items []TokenVerification) []bool {
 		return out
 	}
 	parallelEach(len(items), func(i int) {
-		out[i] = s.VerifyToken(items[i].Sender, items[i].Signed, items[i].Sig)
+		it := &items[i]
+		if it.Digest != nil {
+			out[i] = s.VerifyTokenDigest(it.Sender, *it.Digest, it.Sig)
+		} else {
+			out[i] = s.VerifyToken(it.Sender, it.Signed, it.Sig)
+		}
 	})
 	return out
 }
